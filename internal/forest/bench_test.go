@@ -135,6 +135,39 @@ func BenchmarkTrainSpeedup(b *testing.B) {
 	b.ReportMetric(speedup, "train_speedup")
 }
 
+// BenchmarkTrainTunerShaped times the reference builder against the
+// compiled trainer on the tuner's per-round fit: 60 trees on 150
+// candidates of a power-of-two grid with the 7 production features
+// (tunerShapedData), both serial. Unlike the continuous 2,000-row
+// workload above, every column has few bins and two are constant, so
+// this is the shape the trainer's dead-feature skipping and run-wise
+// scan are for. It reports the ratio as tuner_train_speedup; CI floors
+// it via benchguard.
+func BenchmarkTrainTunerShaped(b *testing.B) {
+	m, x, y := tunerShapedData(5, 150)
+	cfg := Config{NTrees: 60, Seed: 7, Workers: 1}
+	var speedup float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tRef := testingBenchTime(func() {
+			for r := 0; r < 5; r++ {
+				if _, err := trainReference(cfg, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		tCompiled := testingBenchTime(func() {
+			for r := 0; r < 5; r++ {
+				if _, err := TrainMatrix(cfg, m, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		speedup = tRef / tCompiled
+	}
+	b.ReportMetric(speedup, "tuner_train_speedup")
+}
+
 // BenchmarkTrainSplitScan is the steady-state training hot path in
 // isolation: per-feature order building, the split scans of a root
 // node, and one stable partition, on a warm trainer. Its baseline pins

@@ -16,6 +16,7 @@ package forest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -157,12 +158,64 @@ func validateRows(x [][]float64, y []float64) (nf int, err error) {
 		if len(row) != nf {
 			return 0, fmt.Errorf("forest: row %d has %d features, want %d", i, len(row), nf)
 		}
+		if j := firstNonFinite(row); j >= 0 {
+			return 0, nonFiniteFeature(i, j, row[j])
+		}
 	}
-	return nf, nil
+	return nf, checkTargets(y)
+}
+
+// validateFlat checks the flat row-major training input shape (the
+// TrainFlat form of validateRows) and returns the row count.
+func validateFlat(x []float64, cols int, y []float64) (rows int, err error) {
+	if cols < 1 {
+		return 0, errors.New("forest: samples have no features")
+	}
+	if len(x)%cols != 0 {
+		return 0, fmt.Errorf("forest: flat matrix of %d values is not a multiple of %d columns", len(x), cols)
+	}
+	rows = len(x) / cols
+	if rows == 0 {
+		return 0, errors.New("forest: no training samples")
+	}
+	if rows != len(y) {
+		return 0, fmt.Errorf("forest: %d samples but %d targets", rows, len(y))
+	}
+	if j := firstNonFinite(x); j >= 0 {
+		return 0, nonFiniteFeature(j/cols, j%cols, x[j])
+	}
+	return rows, checkTargets(y)
+}
+
+// checkTargets rejects a NaN or infinite target: it would poison every
+// SSE of every node that holds it.
+func checkTargets(y []float64) error {
+	if i := firstNonFinite(y); i >= 0 {
+		return fmt.Errorf("forest: target %d is %v; training values must be finite", i, y[i])
+	}
+	return nil
+}
+
+// nonFiniteFeature is the error for a NaN or infinite feature value.
+// Binning ranks values by comparison, which a NaN defeats.
+func nonFiniteFeature(sample, feature int, v float64) error {
+	return fmt.Errorf("forest: sample %d feature %d is %v; training values must be finite", sample, feature, v)
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in vals,
+// or -1 if every value is finite.
+func firstNonFinite(vals []float64) int {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Train fits a forest on X (rows are samples) and y. All rows must have
-// equal length and all values must be finite. Training is deterministic
+// equal length and all values must be finite; a NaN or infinite
+// feature or target is an error. Training is deterministic
 // for a given Config.Seed: the bootstrap indices and per-tree builder
 // seeds are drawn from the master RNG stream up front, in tree order,
 // exactly as a serial loop would draw them, and only then are the trees

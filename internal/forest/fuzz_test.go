@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,12 +9,18 @@ import (
 // FuzzTrainDifferential proves the compiled histogram trainer is
 // bit-identical to the reference builder: for arbitrary
 // hyperparameters and data (derived deterministically from the fuzzed
-// inputs, with a duplicate-heavy mode that floods nodes with tied
-// feature values), trainReference and Train must produce node-for-node
-// equal forests — and Train must produce that same forest at every
-// worker count. This is the training-side mirror of
-// FuzzCompiledDifferential, and the proof obligation behind swapping
-// the trainer in as Train's default path.
+// inputs), trainReference and Train must produce node-for-node equal
+// forests — and Train must produce that same forest at every worker
+// count. This is the training-side mirror of FuzzCompiledDifferential,
+// and the proof obligation behind swapping the trainer in as Train's
+// default path.
+//
+// The derivation reaches the tuner's shape: up to 7 features, depth up
+// to 14 with MinLeaf 1, and three data modes — continuous values, a
+// duplicate-heavy mode that floods nodes with tied feature values, and
+// (seed bit 6) a tuner-shaped mode of power-of-two columns with a
+// globally constant column, like P2Frac(nodes) on a power-of-two grid,
+// and a column that is a function of two others, like Log2(Ranks).
 //
 // Seeded corpus below; CI runs this target for 30s per push (the
 // fuzz-smoke job).
@@ -22,13 +29,16 @@ func FuzzTrainDifferential(f *testing.F) {
 	f.Add(int64(9), uint8(6), uint8(3), uint8(2), uint8(90), true) // tie-heavy, MTry<nf
 	f.Add(int64(-5), uint8(1), uint8(1), uint8(1), uint8(2), true) // single stump, 2 samples
 	f.Add(int64(77), uint8(5), uint8(6), uint8(9), uint8(70), false)
+	f.Add(int64(69), uint8(7), uint8(13), uint8(0), uint8(119), false) // tuner-shaped, 7 features, depth 14, MinLeaf 1
+	f.Add(int64(68), uint8(3), uint8(9), uint8(5), uint8(60), true)    // tuner-shaped, 6 features, MTry<nf
 	f.Fuzz(func(t *testing.T, seed int64, nTrees, depth, minLeaf, nSamples uint8, discrete bool) {
 		nt := int(nTrees)%8 + 1
-		md := int(depth)%6 + 1
+		md := int(depth)%14 + 1
 		ml := int(minLeaf)%5 + 1
 		ns := int(nSamples)%120 + 1
-		nf := int(seed&3) + 2               // 2-5 features
-		mtry := (int(seed>>2)%nf+nf)%nf + 1 // 1..nf, negative seeds included
+		nf := int(seed&7)%6 + 2             // 2-7 features
+		mtry := (int(seed>>3)%nf+nf)%nf + 1 // 1..nf, negative seeds included
+		shaped := seed&64 != 0
 
 		rng := rand.New(rand.NewSource(seed))
 		x := make([][]float64, ns)
@@ -36,14 +46,23 @@ func FuzzTrainDifferential(f *testing.F) {
 		for i := range x {
 			row := make([]float64, nf)
 			for j := range row {
-				if discrete {
+				switch {
+				case shaped:
+					row[j] = float64(int(1) << rng.Intn(5)) // few power-of-two bins
+				case discrete:
 					row[j] = float64(rng.Intn(4)) // heavy ties exercise stable order
-				} else {
+				default:
 					row[j] = rng.NormFloat64() * 10
 				}
 			}
+			if shaped {
+				row[0] = 0 // constant in every node: dead from the root
+				if nf >= 4 {
+					row[nf-1] = math.Log2(row[1] * row[2])
+				}
+			}
 			x[i] = row
-			y[i] = row[0] - row[1%nf]*0.5 + rng.NormFloat64()
+			y[i] = row[1%nf] - row[(nf-1)/2]*0.5 + rng.NormFloat64()
 		}
 
 		cfg := Config{NTrees: nt, MaxDepth: md, MinLeaf: ml, MTry: mtry, Seed: seed, Workers: 1}
@@ -59,8 +78,8 @@ func FuzzTrainDifferential(f *testing.F) {
 				t.Fatalf("training the compiled forest (workers=%d): %v", workers, err)
 			}
 			if !forestsIdentical(want, got) {
-				t.Fatalf("compiled trainer differs from reference builder at Workers=%d (nt=%d md=%d ml=%d mtry=%d ns=%d nf=%d discrete=%v)",
-					workers, nt, md, ml, mtry, ns, nf, discrete)
+				t.Fatalf("compiled trainer differs from reference builder at Workers=%d (nt=%d md=%d ml=%d mtry=%d ns=%d nf=%d discrete=%v shaped=%v)",
+					workers, nt, md, ml, mtry, ns, nf, discrete, shaped)
 			}
 		}
 	})

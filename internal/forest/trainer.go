@@ -23,9 +23,16 @@
 // over the bins and kept sorted thereafter because the stable
 // partition that splits a node splits each feature's order array too,
 // and a stable filter of a sorted sequence stays sorted. A split scan
-// is then one linear gather (targets + bins into SoA scratch) and one
-// linear prefix-sum pass, with candidate boundaries wherever the bin
-// index changes.
+// is then one linear pass that gathers targets and bins into SoA
+// scratch while summing the totals, and one walk over the runs of
+// equal bins that scores a candidate only where the bin changes.
+//
+// Skipped work. A feature whose node-sorted order segment starts and
+// ends in the same bin is constant in the node and in every node
+// below it: it has no candidate boundary, so it is neither scanned nor
+// partitioned again in that subtree (splittable). The split
+// feature's own order segment is never partitioned either: sorted by
+// bin, it already holds every bin <= cut ahead of every bin > cut.
 //
 // Determinism. Bit-identity with the reference builder is structural,
 // not approximate: the per-tree RNG is pre-drawn identically, feature
@@ -40,14 +47,14 @@
 // parent, left-subtree, right-subtree emission order as the builder,
 // so the parent+1 left-child adjacency the inference Kernel asserts at
 // Compile time is preserved), then one right-sized copy per tree is
-// retained by the Forest. Steady-state growth — order building, split
-// scans, partitions — allocates nothing; the zeroalloc annotations and
-// BenchmarkTrainSplitScan's hard benchguard gate hold that line.
+// retained by the Forest. Steady-state growth — reseeding the worker's
+// RNG in place, order building, split scans, partitions — allocates
+// nothing beyond that copy; the zeroalloc annotations,
+// TestTrainerSteadyStateZeroAlloc and BenchmarkTrainSplitScan's hard
+// benchguard gate hold that line.
 package forest
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -112,7 +119,7 @@ type trainer struct {
 	bs  *binset
 	y   []float64
 	cfg Config
-	rng *rand.Rand
+	rng *rand.Rand // reseeded in place per tree
 
 	nodes []node // arena, reused across trees; Forest keeps a copy
 	hint  int    // node count of the last tree grown, sizes the copy
@@ -151,7 +158,11 @@ func (t *trainer) ensure(nb int) {
 // fitTree implements fitter: it grows one tree from a fresh seed and
 // bootstrap sample, bit-identical to builder.build on the same inputs.
 func (t *trainer) fitTree(seed int64, boot []int) []node {
-	t.rng = rand.New(rand.NewSource(seed))
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(seed))
+	} else {
+		t.rng.Seed(seed) // the stream a fresh source would give, without its 5 KB
+	}
 	t.ensure(len(boot))
 	for i, s := range boot {
 		t.idx[i] = int32(s)
@@ -205,8 +216,8 @@ func (t *trainer) buildOrders() {
 
 // growRange builds the subtree over the samples in idx[lo:hi] and
 // returns its node index. It mirrors builder.grow stopping rule for
-// stopping rule; idx and every feature's order segment are partitioned
-// in place, preserving relative order.
+// stopping rule; idx and the order segment of every feature that can
+// still split are partitioned in place, preserving relative order.
 func (t *trainer) growRange(lo, hi, depth int) int {
 	idx := t.idx[lo:hi]
 	mean, sse := meanSSE32(t.y, idx)
@@ -224,7 +235,11 @@ func (t *trainer) growRange(lo, hi, depth int) int {
 		return self
 	}
 	for f := 0; f < t.bs.nf; f++ {
-		t.stablePartition(t.order[f*t.nb+lo:f*t.nb+hi], feat, cut)
+		// feat's own segment is sorted by bin, so it is already split
+		// at k.
+		if f != feat && t.splittable(f, lo, hi) {
+			t.stablePartition(t.order[f*t.nb+lo:f*t.nb+hi], feat, cut)
+		}
 	}
 	l := t.growRange(lo, lo+k, depth+1)
 	r := t.growRange(lo+k, hi, depth+1)
@@ -235,15 +250,35 @@ func (t *trainer) growRange(lo, hi, depth int) int {
 	return self
 }
 
+// splittable reports whether feature f has a candidate split in the
+// node over [lo,hi): its order segment, sorted by bin, starts and ends
+// in different bins. A feature constant in a node is constant in every
+// node below it, so growRange stops partitioning its segment there.
+// The unpartitioned segments below still hold only samples of the node
+// where the feature went constant, all in one bin, so this test keeps
+// answering false for them without any per-node state.
+//
+//acclaim:zeroalloc
+func (t *trainer) splittable(f, lo, hi int) bool {
+	col := t.bs.bins[f*t.bs.n : (f+1)*t.bs.n]
+	seg := t.order[f*t.nb+lo : f*t.nb+hi]
+	return col[seg[0]] != col[seg[len(seg)-1]]
+}
+
 // bestSplit scans MTry random features (same fillPerm stream as the
-// reference) for the threshold minimizing the children's summed SSE.
-// cut is the highest bin index the left child keeps — the integer form
-// of the reference partition's `value <= thresh` predicate, which can
-// include the right boundary bin when the midpoint rounds up to it.
+// reference) for the threshold minimizing the children's summed SSE,
+// skipping features that cannot split here: their scan would find no
+// candidate. cut is the highest bin index the left child keeps — the
+// integer form of the reference partition's `value <= thresh`
+// predicate, which can include the right boundary bin when the
+// midpoint rounds up to it.
 func (t *trainer) bestSplit(lo, hi int, parentSSE float64) (feat int, thresh float64, cut int32, ok bool) {
 	feats := fillPerm(t.rng, t.perm[:t.bs.nf], t.cfg.MTry)
 	bestSSE := parentSSE - 1e-12
 	for _, f := range feats {
+		if !t.splittable(f, lo, hi) {
+			continue
+		}
 		if sse, th, c, o := t.scanFeature(f, lo, hi, bestSSE); o {
 			bestSSE, feat, thresh, cut, ok = sse, f, th, c, true
 		}
@@ -253,9 +288,13 @@ func (t *trainer) bestSplit(lo, hi int, parentSSE float64) (feat int, thresh flo
 
 // scanFeature runs the prefix-sum split scan over feature f's sorted
 // order segment [lo,hi) and returns the best candidate strictly below
-// limit. The float expressions repeat builder.bestSplit operation for
-// operation over the same sample order, so the computed SSEs — and the
-// comparisons deciding the returned split — are bit-identical to the
+// limit. The gather pass also sums the totals, in sample order; the
+// scan then walks runs of equal bins and scores a candidate only where
+// the bin changes. Every accumulator sees the float operations of
+// builder.bestSplit in the same order over the same sample sequence —
+// samples after the last boundary, which the reference adds but never
+// scores, are simply not visited — so the computed SSEs, and the
+// comparisons deciding the returned split, are bit-identical to the
 // reference scan.
 //
 //acclaim:zeroalloc
@@ -266,45 +305,45 @@ func (t *trainer) scanFeature(f, lo, hi int, limit float64) (bestSSE, thresh flo
 	m := hi - lo
 	ys := t.ybuf[:m]
 	bks := t.bbuf[:m]
+	var sumR, sumSqR float64
 	for j, i := range t.order[f*nb+lo : f*nb+hi] {
-		ys[j] = t.y[i]
+		yv := t.y[i]
+		ys[j] = yv
 		bks[j] = col[i]
+		sumR += yv
+		sumSqR += yv * yv
 	}
 
 	bestSSE = limit
 	var sumL, sumSqL float64
-	var sumR, sumSqR float64
-	for _, yv := range ys {
-		sumR += yv
-		sumSqR += yv * yv
-	}
-	nL := 0
-	nR := m
 	minLeaf := t.cfg.MinLeaf
-	for j := 0; j < m-1; j++ {
-		yv := ys[j]
-		sumL += yv
-		sumSqL += yv * yv
-		sumR -= yv
-		sumSqR -= yv * yv
-		nL++
-		nR--
-		if bks[j] == bks[j+1] {
-			continue // cannot split between equal values
+	last := bks[m-1]
+	for j := 0; bks[j] != last; {
+		// bks is sorted, so this run ends before the last bin's run.
+		b := bks[j]
+		for bks[j] == b {
+			yv := ys[j]
+			sumL += yv
+			sumSqL += yv * yv
+			sumR -= yv
+			sumSqR -= yv * yv
+			j++
 		}
+		nL, nR := j, m-j
 		if nL < minLeaf || nR < minLeaf {
 			continue
 		}
 		sse := (sumSqL - sumL*sumL/float64(nL)) + (sumSqR - sumR*sumR/float64(nR))
 		if sse < bestSSE {
 			bestSSE = sse
-			thresh = (edges[bks[j]] + edges[bks[j+1]]) / 2
+			next := bks[j]
+			thresh = (edges[b] + edges[next]) / 2
 			// The reference partitions on `value <= thresh`: when the
 			// midpoint of two adjacent floats rounds up to the right
 			// value, that value crosses to the left side.
-			cut = bks[j]
-			if edges[bks[j+1]] <= thresh {
-				cut = bks[j+1]
+			cut = b
+			if edges[next] <= thresh {
+				cut = next
 			}
 			ok = true
 		}
@@ -314,24 +353,25 @@ func (t *trainer) scanFeature(f, lo, hi int, limit float64) (bestSSE, thresh flo
 
 // stablePartition reorders arr so samples with feature f's bin <= cut
 // come first, preserving relative order on both sides — the binned
-// form of builder.partition, sharing its scratch-buffer discipline —
-// and returns the left-side count.
+// form of builder.partition — and returns the left-side count. The
+// side is data-dependent and would mispredict about half the time as a
+// branch, so each sample is written to both sides and only the side it
+// belongs to advances. cut must be at least -1.
 //
 //acclaim:zeroalloc
 func (t *trainer) stablePartition(arr []int32, f int, cut int32) int {
 	col := t.bs.bins[f*t.bs.n : (f+1)*t.bs.n]
-	buf := t.part
-	k, r := 0, 0
-	for _, i := range arr {
-		if col[i] <= cut {
-			arr[k] = i
-			k++
-		} else {
-			buf[r] = i
-			r++
-		}
+	buf := t.part[:len(arr)]
+	k := 0
+	for j, i := range arr {
+		// Bins and cut are small, so cut-bin cannot overflow: its sign
+		// bit is 1 exactly when the sample goes right.
+		left := int(uint32(cut-col[i])>>31) ^ 1
+		arr[k] = i // k <= j: this slot has already been read
+		buf[j-k] = i
+		k += left
 	}
-	copy(arr[k:], buf[:r])
+	copy(arr[k:], buf[:len(arr)-k])
 	return k
 }
 
@@ -355,18 +395,9 @@ func meanSSE32(y []float64, idx []int32) (mean, sse float64) {
 // on the equivalent rows: bin edges are computed once per call from
 // the matrix columns and shared across the worker pool.
 func TrainFlat(cfg Config, x []float64, cols int, y []float64) (*Forest, error) {
-	if cols < 1 {
-		return nil, errors.New("forest: samples have no features")
-	}
-	if len(x)%cols != 0 {
-		return nil, fmt.Errorf("forest: flat matrix of %d values is not a multiple of %d columns", len(x), cols)
-	}
-	rows := len(x) / cols
-	if rows == 0 {
-		return nil, errors.New("forest: no training samples")
-	}
-	if rows != len(y) {
-		return nil, fmt.Errorf("forest: %d samples but %d targets", rows, len(y))
+	rows, err := validateFlat(x, cols, y)
+	if err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults(cols)
 	bs := newBinset(rows, cols, func(f int, dst []float64) {

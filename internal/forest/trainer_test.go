@@ -1,6 +1,8 @@
 package forest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -259,8 +261,10 @@ func TestBinsetRoundTrip(t *testing.T) {
 
 // TestTrainerSteadyStateZeroAlloc is the runtime gate behind the
 // //acclaim:zeroalloc annotations in trainer.go: once scratch is
-// warmed (ensure + one tree grown), order building, split scanning,
-// and partitioning allocate nothing.
+// warmed (ensure + one tree grown), order building, the splittable
+// test, split scanning, and partitioning allocate nothing, and a whole
+// tree — in-place reseed included — allocates only the node copy the
+// Forest retains.
 func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	x, y := trainerData(53, 220, 4)
 	cfg := Config{Seed: 59, NTrees: 1, Workers: 1}.withDefaults(4)
@@ -279,6 +283,9 @@ func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { tr.buildOrders() }); n != 0 {
 		t.Errorf("buildOrders allocates %v times per run, want 0", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { tr.splittable(0, 0, tr.nb) }); n != 0 {
+		t.Errorf("splittable allocates %v times per run, want 0", n)
+	}
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
 		_, th, _, _ := t2ScanAll(tr)
@@ -293,6 +300,9 @@ func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("stablePartition allocates %v times per run, want 0", n)
 	}
+	if n := testing.AllocsPerRun(20, func() { tr.fitTree(61, boot) }); n != 1 {
+		t.Errorf("fitTree allocates %v times per tree, want 1 (the retained node copy)", n)
+	}
 }
 
 // t2ScanAll drives scanFeature over every feature of the warm trainer's
@@ -305,4 +315,163 @@ func t2ScanAll(tr *trainer) (feat int, thresh float64, cut int32, ok bool) {
 		}
 	}
 	return feat, thresh, cut, ok
+}
+
+// tunerShapedData builds the training set the tuner fits on each
+// round: rows distinct (point, algorithm) candidates of the
+// P2Grid(16,4,8,1<<20) space encoded with the production features, and
+// log-time targets from a latency-bandwidth cost per algorithm. On a
+// power-of-two grid both P2Frac columns are constant zero, Log2(Ranks)
+// is a function of the nodes and ppn columns, and every column has few
+// distinct values — the shape the continuous-valued BenchmarkTrain*
+// data never reaches.
+func tunerShapedData(seed int64, rows int) (m *featspace.Matrix, x [][]float64, y []float64) {
+	pts := featspace.P2Grid(16, 4, 8, 1<<20).Points()
+	const algs = 3
+	lat := [algs]float64{2, 1, 4}
+	bw := [algs]float64{1, 2, 0.5}
+	rng := rand.New(rand.NewSource(seed))
+	m = new(featspace.Matrix)
+	m.Reset(featspace.NumFeatures)
+	for _, c := range rng.Perm(len(pts) * algs)[:rows] {
+		pt, a := pts[c/algs], c%algs
+		m.AppendPoint(pt, a)
+		r := float64(pt.Ranks())
+		cost := lat[a]*featspace.Log2(pt.Ranks()) + bw[a]*float64(pt.MsgBytes)*(r-1)/r/1e3
+		y = append(y, math.Log(cost)+rng.NormFloat64()*0.02)
+	}
+	data := m.Data()
+	for i := 0; i < m.Rows(); i++ {
+		x = append(x, data[i*featspace.NumFeatures:(i+1)*featspace.NumFeatures])
+	}
+	return m, x, y
+}
+
+// TestTrainerTunerShapedMatchesReference pins bit-identity on the
+// tuner's own training shape: constant columns that are dead from the
+// root, a derived column, few bins per feature, and the default deep
+// trees. TrainMatrix and Train must reproduce trainReference node for
+// node at one and two workers.
+func TestTrainerTunerShapedMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		rows int
+		cfg  Config
+	}{
+		{1, 150, Config{NTrees: 60}},
+		{2, 40, Config{NTrees: 20, MinLeaf: 2}},
+		{3, 300, Config{NTrees: 12, MTry: 3}},
+		{4, 150, Config{NTrees: 16, MaxDepth: 5}},
+	} {
+		m, x, y := tunerShapedData(tc.seed, tc.rows)
+		cfg := tc.cfg
+		cfg.Seed = tc.seed
+		cfg.Workers = 1
+		want, err := trainReference(cfg, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg.Workers = workers
+			got, err := TrainMatrix(cfg, m, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !forestsIdentical(want, got) {
+				t.Errorf("seed %d rows %d cfg %+v: TrainMatrix differs from the reference builder", tc.seed, tc.rows, cfg)
+			}
+			got, err = Train(cfg, x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !forestsIdentical(want, got) {
+				t.Errorf("seed %d rows %d cfg %+v: Train differs from the reference builder", tc.seed, tc.rows, cfg)
+			}
+		}
+	}
+}
+
+// TestStablePartitionEdges checks the branchless partition against a
+// plain two-list stable partition at the cut's extremes: below the
+// lowest bin (everything right), at the lowest bin, inside the range,
+// at the highest bin (everything left), and on segments that fall
+// entirely on one side of a cut inside the column's range.
+func TestStablePartitionEdges(t *testing.T) {
+	vals := []float64{5, 1, 3, 3, 9, 1, 7, 5, 9, 3}
+	bs := newBinset(len(vals), 1, func(_ int, dst []float64) { copy(dst, vals) })
+	tr := &trainer{bs: bs, part: make([]int32, len(vals))}
+	col := bs.bins
+	all := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	low := []int32{1, 2, 3, 5, 9} // bins 0 and 1 only
+	high := []int32{4, 6, 8}      // bins 3 and 4 only
+	maxBin := int32(len(bs.edges[0]) - 1)
+	for _, tc := range []struct {
+		name string
+		arr  []int32
+		cut  int32
+	}{
+		{"cut below the minimum bin", all, -1},
+		{"cut at the minimum bin", all, 0},
+		{"cut mid-range", all, 2},
+		{"cut at the maximum bin", all, maxBin},
+		{"all samples left", low, 2},
+		{"all samples right", high, 2},
+		{"single sample", []int32{7}, 2},
+	} {
+		var wantL, wantR []int32
+		for _, i := range tc.arr {
+			if col[i] <= tc.cut {
+				wantL = append(wantL, i)
+			} else {
+				wantR = append(wantR, i)
+			}
+		}
+		arr := append([]int32(nil), tc.arr...)
+		k := tr.stablePartition(arr, 0, tc.cut)
+		want := append(wantL, wantR...)
+		if k != len(wantL) {
+			t.Errorf("%s: left count %d, want %d", tc.name, k, len(wantL))
+		}
+		for j := range want {
+			if arr[j] != want[j] {
+				t.Errorf("%s: partition %v, want %v", tc.name, arr, want)
+				break
+			}
+		}
+	}
+}
+
+// TestTrainNonFinite: a NaN or infinite feature or target is rejected
+// with an error by every entry point — before binning, where a NaN
+// would rank past the edge table, and before the worker pool, where a
+// panic would kill the process.
+func TestTrainNonFinite(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, v := range bad {
+		for _, inTarget := range []bool{false, true} {
+			x, y := trainerData(67, 40, 3)
+			if inTarget {
+				y[17] = v
+			} else {
+				x[17][1] = v
+			}
+			flat := make([]float64, 0, len(x)*3)
+			for _, row := range x {
+				flat = append(flat, row...)
+			}
+			for _, workers := range []int{1, 2} {
+				cfg := Config{Seed: 71, NTrees: 4, Workers: workers}
+				where := fmt.Sprintf("value %v in target=%v, workers=%d", v, inTarget, workers)
+				if _, err := Train(cfg, x, y); err == nil {
+					t.Errorf("Train accepted %s", where)
+				}
+				if _, err := TrainFlat(cfg, flat, 3, y); err == nil {
+					t.Errorf("TrainFlat accepted %s", where)
+				}
+				if _, err := trainReference(cfg, x, y); err == nil {
+					t.Errorf("trainReference accepted %s", where)
+				}
+			}
+		}
+	}
 }

@@ -60,6 +60,7 @@ var zeroAllocManifest = map[string][]string{
 		"Kernel.walkLevels",
 		"trainer.buildOrders",
 		"trainer.scanFeature",
+		"trainer.splittable",
 		"trainer.stablePartition",
 	},
 }
