@@ -412,38 +412,61 @@ func BenchmarkAblationForest(b *testing.B) {
 
 // --- Micro-benchmarks of the substrates themselves. ---
 
-// BenchmarkSimBcast measures simulator throughput for a 128-rank
-// binomial broadcast.
-func BenchmarkSimBcast(b *testing.B) {
+// simModel is the 32-node job on the 16-nodes-per-rack benchmark
+// machine, at the given ppn.
+func simModel(b *testing.B, ppn int) *netmodel.Model {
+	b.Helper()
 	mach := cluster.Machine{Nodes: 256, NodesPerRack: 16, CoresPerNode: 64}
 	alloc, _ := cluster.Contiguous(mach, 0, 32)
-	model, err := netmodel.New(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, 4)
+	model, err := netmodel.New(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, ppn)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return model
+}
+
+// benchSim times one timing-mode collective per iteration. One untimed
+// run first lets the simulator reach its steady state, so allocs/op
+// and B/op count what every further run pays.
+func benchSim(b *testing.B, model *netmodel.Model, c coll.Collective, alg string, msg int) {
+	b.Helper()
+	if _, err := coll.Exec(model, c, alg, msg, coll.Options{Op: simmpi.OpSum}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coll.Exec(model, coll.Bcast, "binomial", 65536, coll.Options{Op: simmpi.OpSum}); err != nil {
+		if _, err := coll.Exec(model, c, alg, msg, coll.Options{Op: simmpi.OpSum}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSimRingAllgather measures the heaviest algorithm: a 128-rank
-// ring allgather (n^2 messages).
-func BenchmarkSimRingAllgather(b *testing.B) {
-	mach := cluster.Machine{Nodes: 256, NodesPerRack: 16, CoresPerNode: 64}
-	alloc, _ := cluster.Contiguous(mach, 0, 32)
-	model, err := netmodel.New(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := coll.Exec(model, coll.Allgather, "ring", 4096, coll.Options{Op: simmpi.OpSum}); err != nil {
-			b.Fatal(err)
-		}
-	}
+// BenchmarkSimBcast measures simulator throughput for a 128-rank
+// binomial broadcast.
+func BenchmarkSimBcast(b *testing.B) {
+	benchSim(b, simModel(b, 4), coll.Bcast, "binomial", 65536)
+}
+
+// The three below run on the tune-collect job shape, 32 nodes x 8 ppn =
+// 256 ranks, where simulator host cost dominates tuning.
+
+// BenchmarkSimAlltoallScattered: every rank posts its 255 sends before
+// draining 255 receives, so mailboxes hold a full row of backlog.
+func BenchmarkSimAlltoallScattered(b *testing.B) {
+	benchSim(b, simModel(b, 8), coll.Alltoall, "scattered", 4096)
+}
+
+// BenchmarkSimAlltoallPairwise: 255 lock-step exchanges, so almost
+// every receive blocks and is woken by its partner's send.
+func BenchmarkSimAlltoallPairwise(b *testing.B) {
+	benchSim(b, simModel(b, 8), coll.Alltoall, "pairwise", 4096)
+}
+
+// BenchmarkSimAllgatherRing: 255 pipelined neighbour steps, n^2
+// messages in all.
+func BenchmarkSimAllgatherRing(b *testing.B) {
+	benchSim(b, simModel(b, 8), coll.Allgather, "ring", 4096)
 }
 
 // BenchmarkForestTrain measures random-forest training on a

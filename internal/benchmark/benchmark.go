@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -195,20 +196,40 @@ func (r *Runner) baseTime(spec Spec, idx []int) (float64, error) {
 }
 
 // specSeed derives a deterministic per-spec noise seed so measurements
-// are reproducible regardless of the order benchmarks execute in.
+// are reproducible regardless of the order benchmarks execute in. It
+// hashes the bytes fmt would print for "%d|%s|%d|%d|%d|%d" over
+// (collective, algorithm, nodes, ppn, message size, seed), built on the
+// stack instead.
 func (r *Runner) specSeed(spec Spec) int64 {
+	var buf [128]byte
+	b := strconv.AppendInt(buf[:0], int64(spec.Coll), 10)
+	b = append(b, '|')
+	b = append(b, spec.Alg...)
+	for _, v := range [...]int64{int64(spec.Point.Nodes), int64(spec.Point.PPN), int64(spec.Point.MsgBytes), r.Config.Seed} {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, v, 10)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d",
-		spec.Coll, spec.Alg, spec.Point.Nodes, spec.Point.PPN, spec.Point.MsgBytes, r.Config.Seed)
+	h.Write(b)
 	return int64(h.Sum64())
 }
+
+// noiseRNGs recycles the measurement-noise generators: measure reseeds
+// one in place per spec, which draws the stream a fresh
+// rand.New(rand.NewSource(seed)) would, without its 5 KB source.
+var noiseRNGs sync.Pool
 
 // measure converts a base time into a Measurement by applying
 // per-iteration noise analytically (the simulator is deterministic, so
 // repeated executions would be identical; real repetitions differ by
 // measurement noise).
 func (r *Runner) measure(spec Spec, base float64) Measurement {
-	rng := rand.New(rand.NewSource(r.specSeed(spec)))
+	rng, _ := noiseRNGs.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(0))
+	}
+	rng.Seed(r.specSeed(spec))
+	defer noiseRNGs.Put(rng)
 	noise := func() float64 {
 		f := 1 + rng.NormFloat64()*r.Env.NoiseSigma
 		if f < 0.5 {

@@ -1,6 +1,10 @@
 package benchmark
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 
 	"acclaim/internal/cluster"
@@ -215,5 +219,56 @@ func TestSpecString(t *testing.T) {
 	s := spec(coll.Bcast, "binomial", 2, 1, 8)
 	if s.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestSpecSeedMatchesFmt pins specSeed's hash input to the bytes of
+// the fmt rendering it replaced, so every noise stream is unchanged.
+func TestSpecSeedMatchesFmt(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, math.MaxInt64, math.MinInt64} {
+		r := &Runner{Config: Config{Seed: seed}}
+		for _, s := range []Spec{
+			spec(coll.Bcast, "binomial", 8, 2, 4096),
+			spec(coll.Alltoall, "scattered", 32, 8, 1<<20),
+			spec(coll.ReduceScatter, "", 0, 0, 0),
+			spec(coll.Collective(-3), "x|y", -1, 64, 7),
+		} {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d",
+				s.Coll, s.Alg, s.Point.Nodes, s.Point.PPN, s.Point.MsgBytes, seed)
+			if got, want := r.specSeed(s), int64(h.Sum64()); got != want {
+				t.Errorf("specSeed(%v, seed %d) = %d, want %d", s, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestMeasureMatchesFreshSource: a recycled, reseeded generator draws
+// the noise a fresh source would, and measuring allocates nothing once
+// a generator is pooled.
+func TestMeasureMatchesFreshSource(t *testing.T) {
+	r := testRunner(t, cluster.TopologyTwoPairs())
+	for i, s := range []Spec{
+		spec(coll.Bcast, "binomial", 8, 2, 4096),
+		spec(coll.Allgather, "ring", 4, 2, 64),
+		spec(coll.Bcast, "binomial", 8, 2, 4096),
+	} {
+		got := r.measure(s, 100)
+		rng := rand.New(rand.NewSource(r.specSeed(s)))
+		var sum, wall float64
+		for j := 0; j < r.Config.Warmup+r.Config.Iters; j++ {
+			f := math.Max(1+rng.NormFloat64()*r.Env.NoiseSigma, 0.5)
+			wall += 100 * f
+			if j >= r.Config.Warmup {
+				sum += 100 * f
+			}
+		}
+		if got.MeanTime != sum/float64(r.Config.Iters) || got.WallTime != wall {
+			t.Errorf("spec %d: measure = %+v, want mean %v wall %v", i, got, sum/float64(r.Config.Iters), wall)
+		}
+	}
+	s := spec(coll.Bcast, "binomial", 8, 2, 4096)
+	if allocs := testing.AllocsPerRun(200, func() { r.measure(s, 100) }); allocs != 0 {
+		t.Errorf("measure allocates %v times per spec", allocs)
 	}
 }

@@ -52,6 +52,10 @@ var zeroAllocManifest = map[string][]string{
 	"internal/core": {
 		"tunerMetrics.endRound",
 	},
+	"internal/simmpi": {
+		"mailbox.put",
+		"mailbox.take",
+	},
 	"internal/forest": {
 		"Kernel.Predict",
 		"Kernel.predictBlock",

@@ -143,71 +143,289 @@ func (op Op) Combine(dst, src Buf) {
 	}
 }
 
-// message is an in-flight transfer.
+// message is an in-flight transfer: one slot of its destination
+// mailbox's slab, linked into the FIFO of its source. The payload
+// bytes, when a run moves any, sit in the mailbox's parallel data
+// slice, so a timing-only slab holds no pointers and spends 24 bytes
+// per message.
 type message struct {
-	buf     Buf
+	n       int     // logical length in bytes
 	arrival float64 // virtual time at which the bytes are available
+	next    int32   // slab index of the source's next message, or -1
 }
 
-// mailbox holds pending messages for one rank, matched by source rank in
-// FIFO order per source (MPI's non-overtaking guarantee).
+// mailbox holds the pending messages of one rank. Each source rank has
+// its own FIFO (MPI's non-overtaking guarantee), threaded through one
+// slab of message slots: fifo[2*src] and fifo[2*src+1] are the slab
+// indices of the source's oldest and newest message, -1 when it has
+// none, and the slots no message occupies form a free list. A slot's
+// payload reference is dropped the moment it is received, and the slab
+// only grows, so once it has grown to a schedule's peak backlog, sends
+// and receives allocate nothing. The backlog is all the slab holds: a
+// scattered alltoall on 256 ranks peaks at 255 messages per mailbox,
+// 6 KB of slots.
+//
+// Only the owning rank receives, so at most one goroutine ever waits
+// here, and it waits for one particular source: a put wakes it only
+// when the message comes from that source.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	pending map[int][]message
+	wake    sync.Cond // L is &mu; signalled only for the awaited source
+	fifo    []int32   // guarded by mu
+	slab    []message // guarded by mu
+	data    [][]byte  // guarded by mu: payload of slab slot i, or nil; empty until a payload arrives
+	free    int32     // guarded by mu: first free slab slot, or -1
+	live    int       // guarded by mu: messages not yet received
+	waiting int       // guarded by mu: source the owner is blocked on, or -1
+	aborted bool      // guarded by mu: a rank of the run panicked
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{pending: make(map[int][]message)}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-func (mb *mailbox) put(src int, m message) {
+// init prepares an empty mailbox for worlds of up to n ranks.
+func (mb *mailbox) init(n int) {
+	mb.wake.L = &mb.mu
 	mb.mu.Lock()
-	mb.pending[src] = append(mb.pending[src], m)
+	mb.fifo = make([]int32, 2*n)
+	for i := range mb.fifo {
+		mb.fifo[i] = -1
+	}
+	mb.free = -1
+	mb.waiting = -1
 	mb.mu.Unlock()
-	mb.cond.Broadcast()
 }
 
-func (mb *mailbox) take(src int) message {
+// put appends a message to src's FIFO and wakes the owner if it is
+// blocked on src.
+//
+//acclaim:zeroalloc
+func (mb *mailbox) put(src int, buf Buf, arrival float64) {
 	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.pending[src]) == 0 {
-		mb.cond.Wait()
+	if mb.free < 0 {
+		mb.grow()
 	}
-	q := mb.pending[src]
-	m := q[0]
-	if len(q) == 1 {
-		delete(mb.pending, src)
+	i := mb.free
+	m := &mb.slab[i]
+	mb.free = m.next
+	m.n, m.arrival, m.next = buf.N, arrival, -1
+	if buf.Data != nil {
+		if len(mb.data) < len(mb.slab) {
+			mb.holdData()
+		}
+		mb.data[i] = buf.Data
+	}
+	if tail := mb.fifo[2*src+1]; tail >= 0 {
+		mb.slab[tail].next = i
 	} else {
-		mb.pending[src] = q[1:]
+		mb.fifo[2*src] = i
 	}
-	return m
+	mb.fifo[2*src+1] = i
+	mb.live++
+	wake := mb.waiting == src
+	if wake {
+		mb.waiting = -1
+	}
+	mb.mu.Unlock()
+	if wake {
+		mb.wake.Signal()
+	}
 }
 
-// World is one job's communication universe: the network model plus a
-// mailbox per rank.
-type World struct {
+// grow extends the slab to its capacity after appending one slot, and
+// threads the new slots onto the free list.
+//
+//acclaim:allow lockcheck only put calls it, with mu held
+func (mb *mailbox) grow() {
+	old := len(mb.slab)
+	mb.slab = append(mb.slab, message{})
+	mb.slab = mb.slab[:cap(mb.slab)]
+	for i := len(mb.slab) - 1; i >= old; i-- {
+		mb.slab[i].next = mb.free
+		mb.free = int32(i)
+	}
+}
+
+// holdData extends the payload slice to cover every slab slot.
+//
+//acclaim:allow lockcheck only put calls it, with mu held
+func (mb *mailbox) holdData() {
+	mb.data = append(mb.data, make([][]byte, len(mb.slab)-len(mb.data))...)
+}
+
+// take removes and returns the oldest message from src, blocking until
+// one arrives. It reports false, without a message, once the run has
+// aborted and src's FIFO is empty: the message may never come.
+//
+//acclaim:zeroalloc
+func (mb *mailbox) take(src int) (buf Buf, arrival float64, ok bool) {
+	mb.mu.Lock()
+	for mb.fifo[2*src] < 0 {
+		if mb.aborted {
+			mb.mu.Unlock()
+			return buf, 0, false
+		}
+		mb.waiting = src
+		mb.wake.Wait()
+	}
+	i := mb.fifo[2*src]
+	m := &mb.slab[i]
+	buf.N, arrival = m.n, m.arrival
+	if int(i) < len(mb.data) {
+		buf.Data, mb.data[i] = mb.data[i], nil
+	}
+	mb.fifo[2*src] = m.next
+	if m.next < 0 {
+		mb.fifo[2*src+1] = -1
+	}
+	m.next = mb.free
+	mb.free = i
+	mb.live--
+	mb.mu.Unlock()
+	return buf, arrival, true
+}
+
+// abort marks the run failed and wakes the owner if it is blocked.
+func (mb *mailbox) abort() {
+	mb.mu.Lock()
+	mb.aborted = true
+	wake := mb.waiting >= 0
+	mb.waiting = -1
+	mb.mu.Unlock()
+	if wake {
+		mb.wake.Signal()
+	}
+}
+
+// reset empties the mailbox for the next run, dropping the payloads of
+// messages a failed (or receive-less) run left undelivered.
+func (mb *mailbox) reset() {
+	mb.mu.Lock()
+	if mb.live > 0 {
+		for i := range mb.fifo {
+			mb.fifo[i] = -1
+		}
+		mb.free = -1
+		for i := len(mb.slab) - 1; i >= 0; i-- {
+			mb.slab[i].next = mb.free
+			mb.free = int32(i)
+		}
+		clear(mb.data)
+		mb.live = 0
+	}
+	mb.aborted = false
+	mb.waiting = -1
+	mb.mu.Unlock()
+}
+
+// abortRun is the panic value that unwinds a rank blocked on a peer
+// after another rank of the run panicked.
+type abortRun struct{}
+
+// world is one job's communication universe: the network model plus a
+// mailbox and a Comm per rank. Worlds are recycled across Runs (see
+// spare); the mailbox and Comm slices keep the capacity of the largest
+// run a world has hosted, and len is the current run's rank count.
+type world struct {
 	model *netmodel.Model
-	mail  []*mailbox
+	mail  []mailbox
+	comms []Comm
+
+	mu  sync.Mutex
+	err error // guarded by mu: the first rank panic of the run
 }
 
-// NewWorld creates a world for the model's ranks.
-func NewWorld(model *netmodel.Model) *World {
+// spare is the one world kept between Runs: the largest released one.
+// Concurrent Runs (benchmark waves) that find it taken or too small
+// build their own, so at most one idle world is ever retained.
+var spare struct {
+	mu sync.Mutex
+	w  *world // guarded by mu
+}
+
+// acquireWorld returns an empty world for the model's ranks, reusing
+// the spare when it is large enough.
+func acquireWorld(model *netmodel.Model) *world {
 	n := model.Ranks()
-	w := &World{model: model, mail: make([]*mailbox, n)}
-	for i := range w.mail {
-		w.mail[i] = newMailbox()
+	spare.mu.Lock()
+	w := spare.w
+	if w != nil && cap(w.mail) >= n {
+		spare.w = nil
+	} else {
+		w = nil
+	}
+	spare.mu.Unlock()
+	if w == nil {
+		w = &world{mail: make([]mailbox, n), comms: make([]Comm, n)}
+		for i := range w.mail {
+			w.mail[i].init(n)
+		}
+	}
+	w.model = model
+	w.mail = w.mail[:n]
+	w.comms = w.comms[:n]
+	for r := range w.comms {
+		w.comms[r] = Comm{w: w, rank: r}
 	}
 	return w
 }
 
+// releaseWorld empties a finished world, dropping every payload and
+// model reference, and keeps it as the spare if it is the largest.
+func releaseWorld(w *world) {
+	for i := range w.mail {
+		w.mail[i].reset()
+	}
+	w.model = nil
+	w.mu.Lock()
+	w.err = nil
+	w.mu.Unlock()
+	spare.mu.Lock()
+	if spare.w == nil || cap(spare.w.mail) < cap(w.mail) {
+		spare.w = w
+	}
+	spare.mu.Unlock()
+}
+
+// runRank executes fn on one rank, turning a panic (or a Goexit) into
+// the run's failure.
+func (w *world) runRank(c *Comm, fn func(*Comm)) {
+	returned := false
+	defer func() {
+		if !returned {
+			w.fail(c.rank, recover())
+		}
+	}()
+	fn(c)
+	returned = true
+}
+
+// fail records the first failure of the run and aborts every mailbox,
+// so ranks blocked on the failed one unwind instead of waiting forever.
+// Ranks unwound that way are not failures of their own.
+func (w *world) fail(rank int, p any) {
+	if _, ok := p.(abortRun); ok {
+		return
+	}
+	err := fmt.Errorf("simmpi: rank %d panicked: %v", rank, p)
+	if p == nil {
+		err = fmt.Errorf("simmpi: rank %d exited without returning", rank)
+	}
+	w.mu.Lock()
+	first := w.err == nil
+	if first {
+		w.err = err
+	}
+	w.mu.Unlock()
+	if first {
+		for i := range w.mail {
+			w.mail[i].abort()
+		}
+	}
+}
+
 // Comm is one rank's handle on the world; the analogue of an MPI
 // communicator bound to a rank. A Comm is confined to its rank's
-// goroutine and must not be shared.
+// goroutine and must not be shared or kept after its Run returns.
 type Comm struct {
-	w     *World
+	w     *world
 	rank  int
 	clock float64
 	sent  int // messages sent, for diagnostics
@@ -252,12 +470,14 @@ func (c *Comm) Send(dst int, buf Buf) {
 	c.clock += c.w.model.SendOverhead()
 	arrival := c.clock + c.w.model.Transfer(c.rank, dst, buf.N)
 	// Clone data so sender reuse of the buffer cannot race the receiver.
-	c.w.mail[dst].put(c.rank, message{buf: buf.Clone(), arrival: arrival})
+	c.w.mail[dst].put(c.rank, buf.Clone(), arrival)
 	c.sent++
 }
 
 // Recv blocks until a message from src is available, advances the clock
-// to the message's arrival time, and returns the payload.
+// to the message's arrival time, and returns the payload. If another
+// rank of the run panics while src's message is outstanding, Recv
+// unwinds the calling rank instead of waiting forever.
 func (c *Comm) Recv(src int) Buf {
 	if src == c.rank {
 		panic(fmt.Sprintf("simmpi: rank %d receiving from itself", c.rank))
@@ -265,12 +485,15 @@ func (c *Comm) Recv(src int) Buf {
 	if src < 0 || src >= c.Size() {
 		panic(fmt.Sprintf("simmpi: recv from rank %d of %d", src, c.Size()))
 	}
-	m := c.w.mail[c.rank].take(src)
-	if m.arrival > c.clock {
-		c.clock = m.arrival
+	buf, arrival, ok := c.w.mail[c.rank].take(src)
+	if !ok {
+		panic(abortRun{})
+	}
+	if arrival > c.clock {
+		c.clock = arrival
 	}
 	c.recvd++
-	return m.buf
+	return buf
 }
 
 // Sendrecv sends sbuf to dst and receives from src, modelling a
@@ -290,34 +513,35 @@ type Result struct {
 
 // Run executes fn once per rank, each on its own goroutine with a fresh
 // Comm starting at clock 0, and waits for all to finish. A panic in any
-// rank is recovered and returned as an error naming the rank.
+// rank is recovered and returned as an error naming the first rank
+// that panicked; ranks blocked in Recv at that point are unwound, so
+// the run still terminates.
+//
+// No rank ever receives from "any source", so the ranks form a
+// deterministic process network: each final clock depends only on the
+// per-(source, destination) FIFO order, never on how the host schedules
+// the goroutines, and the result is bit-identical from run to run.
 func Run(model *netmodel.Model, fn func(*Comm)) (Result, error) {
-	w := NewWorld(model)
-	n := model.Ranks()
-	comms := make([]*Comm, n)
-	errs := make([]error, n)
+	w := acquireWorld(model)
+	defer releaseWorld(w)
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		comms[r] = &Comm{w: w, rank: r}
-		go func(r int) {
+	wg.Add(len(w.comms))
+	for r := range w.comms {
+		c := &w.comms[r]
+		go func() { // with Result.Clocks, the only allocations of a steady-state run
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("simmpi: rank %d panicked: %v", r, p)
-				}
-			}()
-			fn(comms[r])
-		}(r)
+			w.runRank(c, fn)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
+	w.mu.Lock()
+	err := w.err
+	w.mu.Unlock()
+	if err != nil {
+		return Result{}, err
 	}
-	res := Result{Clocks: make([]float64, n)}
-	for r, c := range comms {
+	res := Result{Clocks: make([]float64, len(w.comms))}
+	for r, c := range w.comms {
 		res.Clocks[r] = c.clock
 		res.Sent += c.sent
 		if c.clock > res.MaxClock {

@@ -2,8 +2,12 @@ package simmpi
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"acclaim/internal/cluster"
 	"acclaim/internal/netmodel"
@@ -385,5 +389,202 @@ func TestManyRanksFanIn(t *testing.T) {
 	}
 	if res.Sent != n-1 {
 		t.Errorf("Sent = %d, want %d", res.Sent, n-1)
+	}
+}
+
+// runWithin runs fn on the model and fails the test if Run has not
+// returned after d: the bugs these tests pin are hangs.
+func runWithin(t *testing.T, d time.Duration, model *netmodel.Model, fn func(*Comm)) (Result, error) {
+	t.Helper()
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(model, fn)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(d):
+		t.Fatalf("Run did not return within %v", d)
+		return Result{}, nil
+	}
+}
+
+// TestRunPanicWhileWaited: a rank blocked in Recv on a rank that
+// panics must be unwound, and Run must report the panicking rank, not
+// the unwound waiter.
+func TestRunPanicWhileWaited(t *testing.T) {
+	model := testModel(t, 2, 1)
+	_, err := runWithin(t, 10*time.Second, model, func(c *Comm) {
+		if c.Rank() == 1 {
+			panic("boom")
+		}
+		c.Recv(1)
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1 panicked: boom") {
+		t.Fatalf("err = %v, want rank 1's panic", err)
+	}
+}
+
+// TestRunPanicWhileWaitedAfterPartialSend: the panicking rank has
+// already sent some of its messages. They are still delivered; the
+// receive that can never be matched unwinds. Every other rank waits on
+// its left neighbour, so the abort has to reach a chain of blocked
+// receivers.
+func TestRunPanicWhileWaitedAfterPartialSend(t *testing.T) {
+	model := testModel(t, 4, 2)
+	n := model.Ranks()
+	const culprit = 5
+	delivered := make([]int, n)
+	_, err := runWithin(t, 10*time.Second, model, func(c *Comm) {
+		r := c.Rank()
+		if r == culprit {
+			c.Send(0, BytesBuf([]byte{1}))
+			c.Send(0, BytesBuf([]byte{2}))
+			panic("mid-send")
+		}
+		if r == 0 {
+			for i := 0; i < 3; i++ { // the third never comes
+				c.Recv(culprit)
+				delivered[r]++
+			}
+			return
+		}
+		c.Recv((r + n - 1) % n) // nobody ever sends these
+		delivered[r]++
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 5 panicked: mid-send") {
+		t.Fatalf("err = %v, want rank 5's panic", err)
+	}
+	if delivered[0] != 2 {
+		t.Errorf("rank 0 received %d messages before the abort, want 2", delivered[0])
+	}
+	for r := 1; r < n; r++ {
+		if delivered[r] != 0 {
+			t.Errorf("rank %d received %d messages, want 0", r, delivered[r])
+		}
+	}
+}
+
+// TestRunGoexitWhileWaited: a rank that leaves through runtime.Goexit
+// (t.FailNow inside a rank) fails the run like a panic does.
+func TestRunGoexitWhileWaited(t *testing.T) {
+	model := testModel(t, 2, 1)
+	_, err := runWithin(t, 10*time.Second, model, func(c *Comm) {
+		if c.Rank() == 0 {
+			runtime.Goexit()
+		}
+		c.Recv(0)
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 exited without returning") {
+		t.Fatalf("err = %v, want rank 0's exit", err)
+	}
+}
+
+// TestReleaseDropsUndeliveredPayloads: the spare world a failed run
+// leaves behind holds no payload, and its mailboxes are empty.
+func TestReleaseDropsUndeliveredPayloads(t *testing.T) {
+	model := testModel(t, 3, 1)
+	_, err := Run(model, func(c *Comm) {
+		for dst := 0; dst < c.Size(); dst++ {
+			if dst != c.Rank() {
+				c.Send(dst, BytesBuf(make([]byte, 64)))
+			}
+		}
+		if c.Rank() == 2 {
+			panic("leave them undelivered")
+		}
+		c.Recv(2)
+		c.Recv(2)
+	})
+	if err == nil {
+		t.Fatal("expected the panic to fail the run")
+	}
+	spare.mu.Lock()
+	w := spare.w
+	spare.mu.Unlock()
+	if w == nil {
+		t.Fatal("no spare world after Run")
+	}
+	if w.model != nil {
+		t.Error("spare world still references the model")
+	}
+	for r := range w.mail {
+		mb := &w.mail[r]
+		mb.mu.Lock()
+		if mb.live != 0 || mb.aborted || mb.waiting != -1 {
+			t.Errorf("mailbox %d: live=%d aborted=%v waiting=%d", r, mb.live, mb.aborted, mb.waiting)
+		}
+		for i, d := range mb.data {
+			if d != nil {
+				t.Errorf("mailbox %d slot %d still holds a payload", r, i)
+			}
+		}
+		for i, f := range mb.fifo {
+			if f != -1 {
+				t.Errorf("mailbox %d fifo[%d] = %d, want -1", r, i, f)
+			}
+		}
+		mb.mu.Unlock()
+	}
+	// The next run on the recycled world is unaffected.
+	res, err := Run(model, func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, MakeBuf(8))
+		} else if c.Rank() == 1 {
+			c.Recv(0)
+		}
+	})
+	if err != nil || res.Sent != 1 {
+		t.Fatalf("run after release: %+v, %v", res, err)
+	}
+}
+
+// TestMailboxSteadyStateZeroAlloc is the runtime gate behind put's and
+// take's zeroalloc annotations: once the slab has grown, a send and a
+// receive allocate nothing.
+func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
+	var mb mailbox
+	mb.init(4)
+	for i := 0; i < 8; i++ {
+		mb.put(i%3, MakeBuf(8), float64(i))
+	}
+	for i := 0; i < 8; i++ {
+		mb.take(i % 3)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		mb.put(1, MakeBuf(8), 1)
+		mb.put(3, MakeBuf(8), 2)
+		mb.take(3)
+		mb.take(1)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state put/take allocates %v times", allocs)
+	}
+}
+
+// TestMailboxFIFOInterleaved: per-source order survives interleaved
+// sources and slot reuse through the free list.
+func TestMailboxFIFOInterleaved(t *testing.T) {
+	var mb mailbox
+	mb.init(3)
+	rng := rand.New(rand.NewSource(1))
+	var sent, recvd [3]float64
+	for step := 0; step < 2000; step++ {
+		src := rng.Intn(3)
+		if rng.Intn(2) == 0 || recvd[src] == sent[src] {
+			mb.put(src, MakeBuf(0), sent[src])
+			sent[src]++
+			continue
+		}
+		_, got, ok := mb.take(src)
+		if !ok || got != recvd[src] {
+			t.Fatalf("step %d: take(%d) = %v, %v; want %v", step, src, got, ok, recvd[src])
+		}
+		recvd[src]++
 	}
 }
